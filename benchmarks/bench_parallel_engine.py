@@ -1,37 +1,33 @@
-"""Zero-copy parallel engine: bytes shipped per sweep and worker scaling.
+"""Thread-parallel E-step: wall clock vs workers (Fig. 10(b) harness).
 
-Two series on the Fig. 10(b) twitter scenario:
+One full E-step — the document sweep plus the Pólya-Gamma augmentation
+draws, which the runner fuses into its worker threads — timed serially and
+through :class:`~repro.parallel.ParallelEStepRunner` at 1/2/4 workers on
+the twitter scenario (``REPRO_BENCH_SCALE`` picks its size). Every series
+runs the fastest available sweep kernel (``compiled`` when a C toolchain
+exists, else ``vectorized``), so the speedup ratio compares like against
+like.
 
-1. **Per-sweep coordinator→worker payload.** The PR-3 runner re-pickled the
-   full sampler snapshot (assignments + augmentation variables) plus the
-   diffusion parameters once per worker on every sweep; the shared-memory
-   engine ships only a tiny pickled delta header per worker (state version,
-   RNG seed, optional dirty-doc subset). The legacy volume is reconstructed
-   exactly (pickling the same snapshot payloads the old runner built) and
-   compared against the live runner's measured header bytes. Contract:
-   >10x reduction.
-
-2. **E-step wall clock vs workers** — the Fig. 10(b) harness: one full
-   E-step (document sweep + augmentation draws, which the engine fuses
-   into the workers) serially and at 1/2/4 workers. Both serial and
-   workers run the fastest available sweep kernel (``compiled`` when a C
-   toolchain exists, else ``vectorized``) so the speedup_vs_serial ratio
-   compares like against like; the vectorized serial time is recorded
-   alongside for cross-kernel context. Speedup contracts are gated on the
-   machine's core count; a single-core container reports honest numbers
-   (the paper's 4.5-5.7x needs 8 real cores).
+The series are timed in interleaved rounds — one E-step of each series per
+round, after a warm-up sweep each — so host-speed drift hits every series
+alike; each is reported as the median and quartiles over the rounds.
+Speedup contracts are gated on the machine's core count; the paper's
+4.5-5.7x needs 8 real cores.
 
 Results go to ``benchmarks/results/`` and — as the cross-PR perf
-trajectory record — to ``BENCH_parallel.json`` at the repository root.
+trajectory record, stamped with cores, sweep kernel and source commit —
+to ``BENCH_parallel.json`` at the repository root.
 """
 
 import json
 import os
-import pickle
+import subprocess
 import time
 from pathlib import Path
 
-from bench_support import contract, cpd_config, format_table, get_scenario, report
+import numpy as np
+
+from bench_support import BENCH_SCALE, contract, cpd_config, format_table, get_scenario, report
 from repro.core import DiffusionParameters
 from repro.core import _compiled
 from repro.core.gibbs import CPDSampler
@@ -39,9 +35,21 @@ from repro.parallel import ParallelEStepRunner
 
 N_COMMUNITIES = 6
 WORKER_COUNTS = (1, 2, 4)
-MEASURE_SWEEPS = 2
+ROUNDS = 40
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_JSON = ROOT / "BENCH_parallel.json"
+
+
+def _source_commit() -> str:
+    """``git describe --always --dirty`` of the benchmarked tree."""
+    try:
+        return subprocess.run(
+            ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True, timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
 
 
 def _fresh_sampler(graph, config) -> CPDSampler:
@@ -49,164 +57,88 @@ def _fresh_sampler(graph, config) -> CPDSampler:
     return CPDSampler(graph, config, params, rng=0)
 
 
-def _legacy_payload_bytes(sampler: CPDSampler, runner: ParallelEStepRunner) -> int:
-    """Per-sweep bytes the PR-3 snapshot-pickle runner would ship.
-
-    Reconstructs the exact payload dicts the old ``pool.map`` path built:
-    one full snapshot + parameter set per worker, plus that worker's doc
-    ids and seed.
-    """
-    snapshot = sampler.export_snapshot()
-    params = sampler.params
-    total = 0
-    for worker in range(runner.n_workers):
-        payload = {
-            "snapshot": snapshot,
-            "params": {
-                "eta": params.eta,
-                "comm_weight": params.comm_weight,
-                "pop_weight": params.pop_weight,
-                "nu": params.nu,
-                "bias": params.bias,
-            },
-            "doc_ids": runner.schedule.worker_doc_ids(worker),
-            "seed": 1,
-            "worker": worker,
-        }
-        total += len(pickle.dumps(payload))
-    return total
+def _serial_estep(sampler: CPDSampler) -> None:
+    sampler.sweep_documents()
+    sampler.sample_lambdas()
+    sampler.sample_deltas()
 
 
-def _serial_estep_seconds(graph, config, sweep_kernel) -> float:
-    """One full E-step (sweep + PG draws), best of MEASURE_SWEEPS rounds."""
-    sampler = _fresh_sampler(graph, config.with_overrides(sweep_kernel=sweep_kernel))
-    sampler.sweep_documents()  # warm-up: caches, CSR layouts, allocator, .so
-    best = float("inf")
-    for _ in range(MEASURE_SWEEPS):
-        started = time.perf_counter()
-        sampler.sweep_documents()
-        sampler.sample_lambdas()
-        sampler.sample_deltas()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def _parallel_estep_seconds(
-    graph, config, n_workers, sweep_kernel
-) -> tuple[float, float, str]:
-    """Best E-step seconds at ``n_workers``, header bytes/sweep, worker kernel.
-
-    The fused runner's ``__call__`` *is* the full E-step: workers draw the
-    augmentation variables and partial eta counts inside the sweep.
-    """
-    with ParallelEStepRunner(
-        graph, config, n_workers=n_workers, rng=0, sweep_kernel=sweep_kernel
-    ) as runner:
-        sampler = _fresh_sampler(graph, config)
-        runner(sampler)  # warm-up (adopts state, primes workers)
-        best = float("inf")
-        for _ in range(MEASURE_SWEEPS):
-            started = time.perf_counter()
-            runner(sampler)
-            best = min(best, time.perf_counter() - started)
-        return (
-            best,
-            runner.stats.payload_bytes_per_sweep(),
-            runner.worker_sweep_kernel,
-        )
+def _summary(samples: list[float]) -> dict:
+    q1, median, q3 = np.percentile(np.asarray(samples) * 1e3, [25, 50, 75])
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3}
 
 
 def _measure(graph, config) -> dict:
-    compiled_available, _reason = _compiled.backend_status()
-    sweep_kernel = "compiled" if compiled_available else "vectorized"
-    serial_vectorized = _serial_estep_seconds(graph, config, "vectorized")
-    serial_seconds = (
-        _serial_estep_seconds(graph, config, "compiled")
-        if compiled_available
-        else serial_vectorized
-    )
-    scaling = []
-    header_bytes = {}
-    worker_kernel = sweep_kernel
-    for n_workers in WORKER_COUNTS:
-        seconds, bytes_per_sweep, worker_kernel = _parallel_estep_seconds(
-            graph, config, n_workers, sweep_kernel
-        )
-        header_bytes[n_workers] = bytes_per_sweep
-        scaling.append([n_workers, seconds, serial_seconds / seconds])
-
-    # payload comparison at the widest measured worker count
-    reference_workers = WORKER_COUNTS[-1]
-    with ParallelEStepRunner(
-        graph, config, n_workers=reference_workers, rng=0
-    ) as runner:
-        sampler = _fresh_sampler(graph, config)
-        legacy = _legacy_payload_bytes(sampler, runner)
-    return {
-        "serial_seconds": serial_seconds,
-        "serial_vectorized_seconds": serial_vectorized,
-        "sweep_kernel": sweep_kernel,
-        "worker_sweep_kernel": worker_kernel,
-        "scaling": scaling,
-        "legacy_bytes": legacy,
-        "plane_bytes": header_bytes[reference_workers],
-        "reference_workers": reference_workers,
+    """Interleaved E-step timings: ``{series: [seconds per round]}``."""
+    runners = {
+        n_workers: ParallelEStepRunner(graph, config, n_workers=n_workers, rng=0)
+        for n_workers in WORKER_COUNTS
     }
+    try:
+        steps = {"serial": _serial_estep}
+        for n_workers, runner in runners.items():
+            steps[str(n_workers)] = runner
+        samplers = {name: _fresh_sampler(graph, config) for name in steps}
+        for name, step in steps.items():
+            step(samplers[name])  # warm-up: caches, layouts, allocator, .so
+        samples: dict[str, list[float]] = {name: [] for name in steps}
+        for _ in range(ROUNDS):
+            for name, step in steps.items():
+                started = time.perf_counter()
+                step(samplers[name])
+                samples[name].append(time.perf_counter() - started)
+        worker_kernel = runners[WORKER_COUNTS[0]].worker_sweep_kernel
+    finally:
+        for runner in runners.values():
+            runner.close()
+    return {"samples": samples, "worker_sweep_kernel": worker_kernel}
 
 
 def test_parallel_engine(benchmark):
     graph, _ = get_scenario("twitter")
-    config = cpd_config(N_COMMUNITIES)
+    compiled_available, _reason = _compiled.backend_status()
+    sweep_kernel = "compiled" if compiled_available else "vectorized"
+    config = cpd_config(N_COMMUNITIES).with_overrides(sweep_kernel=sweep_kernel)
     measured = benchmark.pedantic(_measure, args=(graph, config), rounds=1, iterations=1)
     cores = os.cpu_count() or 1
 
-    reduction = measured["legacy_bytes"] / max(measured["plane_bytes"], 1.0)
-    payload_rows = [
-        ["snapshot-pickle (PR-3)", measured["legacy_bytes"]],
-        ["shared-memory delta headers", measured["plane_bytes"]],
-        ["reduction factor", reduction],
+    summaries = {name: _summary(s) for name, s in measured["samples"].items()}
+    serial_median = summaries["serial"]["median_ms"]
+    speedups = {
+        n_workers: serial_median / summaries[str(n_workers)]["median_ms"]
+        for n_workers in WORKER_COUNTS
+    }
+    rows = [
+        [name, s["median_ms"], s["q1_ms"], s["q3_ms"],
+         1.0 if name == "serial" else speedups[int(name)]]
+        for name, s in summaries.items()
     ]
-    report(
-        "parallel_payload",
-        format_table(
-            f"Coordinator->worker bytes per sweep "
-            f"({measured['reference_workers']} workers, twitter)",
-            ["path", "bytes/sweep"],
-            payload_rows,
-        ),
-    )
     report(
         "parallel_scaling",
         format_table(
-            f"Fig. 10(b) E-step wall clock (twitter, machine has {cores} cores, "
-            f"{measured['worker_sweep_kernel']} kernel)",
-            ["workers", "seconds/E-step", "speedup vs serial"],
-            [["serial", measured["serial_seconds"], 1.0]] + measured["scaling"],
+            f"Fig. 10(b) E-step wall clock (twitter {BENCH_SCALE}, {cores} cores, "
+            f"{measured['worker_sweep_kernel']} kernel, {ROUNDS} interleaved rounds)",
+            ["workers", "median ms", "q1 ms", "q3 ms", "speedup vs serial"],
+            rows,
         ),
     )
 
-    speedups = {row[0]: row[2] for row in measured["scaling"]}
     payload = {
-        "scenario": "twitter_fig10b",
+        "scenario": f"twitter_{BENCH_SCALE}",
         "cores": cores,
+        "commit": _source_commit(),
+        "sweep_kernel": sweep_kernel,
+        "worker_sweep_kernel": measured["worker_sweep_kernel"],
+        "rounds": ROUNDS,
         "n_documents": graph.n_documents,
         "n_friendship_links": graph.n_friendship_links,
         "n_diffusion_links": graph.n_diffusion_links,
-        "legacy_payload_bytes_per_sweep": measured["legacy_bytes"],
-        "plane_payload_bytes_per_sweep": measured["plane_bytes"],
-        "payload_reduction_factor": reduction,
-        "sweep_kernel": measured["sweep_kernel"],
-        "worker_sweep_kernel": measured["worker_sweep_kernel"],
-        "serial_estep_seconds": measured["serial_seconds"],
-        "serial_vectorized_estep_seconds": measured["serial_vectorized_seconds"],
-        "parallel_estep_seconds": {
-            str(row[0]): row[1] for row in measured["scaling"]
-        },
+        "serial_estep_ms": summaries["serial"],
+        "parallel_estep_ms": {str(w): summaries[str(w)] for w in WORKER_COUNTS},
         "speedup_vs_serial": {str(w): s for w, s in speedups.items()},
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    contract(reduction > 10.0, f"payload reduction {reduction:.0f}x must exceed 10x")
     if cores >= 2:
         contract(
             max(speedups.values()) > 1.0,
@@ -215,5 +147,5 @@ def test_parallel_engine(benchmark):
     if cores >= 4:
         contract(
             speedups.get(4, 0.0) >= 1.5,
-            "ISSUE 4 acceptance: >=1.5x E-step speedup at 4 workers",
+            ">=1.5x E-step speedup at 4 workers on 4+ cores",
         )

@@ -2,7 +2,7 @@
 
 Walks through the paper's Sect. 4.3 pipeline: segment users by dominant
 LDA topic, estimate per-segment workloads, knapsack-allocate them to
-workers, and fit CPD with the process-parallel E-step. Reports the
+workers, and fit CPD with the thread-parallel E-step. Reports the
 estimated vs actual per-worker times (the paper's Fig. 11) and the
 wall-clock comparison against a serial fit (Fig. 10).
 

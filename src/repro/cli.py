@@ -150,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument(
         "--workers", type=int, default=0,
-        help="parallel E-step worker processes over a shared-memory state "
-        "plane (0 = serial sweep)",
+        help="parallel E-step worker threads over knapsack-balanced user "
+        "segments (0 = serial sweep)",
     )
     fit.add_argument(
         "--sweep-kernel", choices=SWEEP_KERNELS, default=None,
@@ -234,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument(
             "--workers", type=int, default=0,
-            help="parallel E-step workers for the base fit and the "
+            help="parallel E-step worker threads for the base fit and the "
             "incremental refreshes (0 = serial)",
         )
 
@@ -572,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parallel_options(graph, config, workers: int, seed: int):
     """``(runner, FitOptions)`` for one fit; runner is ``None`` when serial.
 
-    The single place the CLI builds the shared-memory runner, so every
+    The single place the CLI builds the parallel runner, so every
     command shares one lifecycle convention: callers must ``close()`` the
     returned runner (it stays open across the fit because the streaming
     commands reuse its warm workers for incremental refreshes).
@@ -1151,7 +1151,7 @@ def run_info(args, out=None) -> int:
 def _replay_setup(args):
     """Split the graph, fit the base model, build the streaming pipeline.
 
-    With ``--workers`` the base fit runs over a shared-memory parallel
+    With ``--workers`` the base fit runs over a thread-parallel
     runner, which is returned (still open) so the incremental refreshes can
     reuse its warm workers; callers must ``close()`` it.
     """

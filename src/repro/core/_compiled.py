@@ -16,10 +16,11 @@ exists, and a one-time warning on fallback (DESIGN.md §10).
 The C code reads and mutates the *same* buffers ``CPDState`` owns — count
 matrices, assignment vectors, the ``pi_hat`` / ``theta_hat`` caches and the
 popularity table — through a pointer struct (:data:`_CTX_FIELDS`) built
-fresh per call, so shared-memory buffer adoption (``adopt_buffers``) and
-the parallel plane keep working unchanged. The struct layout is generated
-from one field spec for both the C source and the ctypes mirror, so the
-two can never drift.
+fresh per call, so array swaps between calls (M-step rebinds, streaming
+appends, a parallel worker's per-sweep state copy) need no re-binding. The
+call releases the GIL, so parallel worker threads sweep concurrently
+(DESIGN.md §7). The struct layout is generated from one field spec for both
+the C source and the ctypes mirror, so the two can never drift.
 
 Set ``REPRO_COMPILED_DISABLE=1`` to force the fallback path (used by CI to
 assert the no-toolchain story); ``REPRO_CC_CACHE_DIR`` overrides the

@@ -71,7 +71,7 @@ class CPDSampler:
 
         if layout is not None:
             # zero-copy path: every immutable array is a view over the
-            # (possibly shared-memory) layout — no graph traversal at all
+            # (possibly shared, read-only) layout — no graph traversal at all
             self.state = CPDState.from_layout(layout, config)
             self._doc_user = layout.doc_user
             self._doc_time = layout.doc_time

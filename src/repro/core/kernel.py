@@ -544,8 +544,8 @@ class CompiledKernel(VectorizedKernel):
     through :meth:`sweep`, the entire per-document resample loop including
     count updates and categorical draws — in the runtime-compiled C library.
     The C code mutates the *same* arrays ``CPDState`` owns through a pointer
-    struct rebuilt on every entry, so buffer adoption, M-step array swaps,
-    and streaming appends all keep working unchanged.
+    struct rebuilt on every entry, so M-step array swaps and streaming
+    appends keep working unchanged.
 
     RNG contract: the sweep pre-draws one uniform per categorical draw from
     the sampler's ``Generator`` (``rng.random(k)`` consumes the same bit

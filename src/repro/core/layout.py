@@ -7,15 +7,13 @@ and diffusion link CSR incidence arrays, the pair features, and the sweep
 kernel's multiplicity-split word layout. All of them are *immutable* for
 the sampler's lifetime. :class:`CorpusLayout` bundles them so they can be
 
-* computed **once** by a coordinator and posted into shared memory
-  (:mod:`repro.parallel.plane`), and
+* computed **once** by a coordinator and shared read-only by the worker
+  samplers of :class:`repro.parallel.ParallelEStepRunner`, and
 * used to construct further samplers **without the graph** — zero list
-  comprehensions over link objects, zero per-document ``np.unique`` calls,
-  zero pickling: workers attach views over the shared blocks
+  comprehensions over link objects, zero per-document ``np.unique`` calls
   (``CPDSampler(None, config, params, layout=layout)``).
 
-Every field is a numpy array (or int dimension); the bundle is therefore
-trivially mappable onto flat shared-memory buffers.
+Every field is a numpy array (or int dimension).
 """
 
 from __future__ import annotations
@@ -133,7 +131,7 @@ class CorpusLayout:
         return [f.name for f in fields(cls) if f.name not in ("n_users", "n_docs", "n_words")]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Name -> array mapping (the shared-memory packing unit)."""
+        """Name -> array mapping of every array-valued field."""
         return {name: getattr(self, name) for name in self.array_fields()}
 
     @classmethod

@@ -72,9 +72,9 @@ class CPDModel:
                         sampler.sweep_documents()
                     e_step_done = time.perf_counter()
                     if not getattr(sweeper, "fused_augmentation", False):
-                        # a fused sweeper (the shared-memory parallel runner)
-                        # already drew the per-link augmentation variables
-                        # inside its workers
+                        # a fused sweeper (the parallel runner) already drew
+                        # the per-link augmentation variables inside its
+                        # worker threads
                         sampler.sample_lambdas()
                         sampler.sample_deltas()
                     augmentation_done = time.perf_counter()

@@ -34,8 +34,8 @@ def counts_to_indptr(counts: np.ndarray) -> np.ndarray:
 class CPDState:
     """Mutable assignments + counts; add/remove keep every counter in sync."""
 
-    #: the mutable arrays a shared-memory plane may adopt (see
-    #: :meth:`adopt_buffers`); everything else is immutable corpus layout
+    #: the mutable arrays (a parallel worker copies these from the
+    #: coordinator every sweep); everything else is immutable corpus layout
     SHARED_FIELDS = (
         "doc_community",
         "doc_topic",
@@ -110,11 +110,11 @@ class CPDState:
     def from_layout(cls, layout, config: CPDConfig) -> "CPDState":
         """Construct without a graph, sharing a :class:`CorpusLayout`'s arrays.
 
-        The zero-copy parallel path: workers attach to the coordinator's
-        shared-memory layout and build their state as *views* over it — no
-        per-document ``np.unique``, no word-array concatenation, no graph
-        object at all. The count matrices are freshly allocated (each
-        worker mutates its own copy during a sweep).
+        The parallel path: every worker builds its state as *views* over
+        the coordinator's one layout — no per-document ``np.unique``, no
+        word-array concatenation, no graph object at all. The count
+        matrices are freshly allocated (each worker mutates its own copy
+        during a sweep).
         """
         state = cls.__new__(cls)
         state._init_dimensions(layout.n_users, layout.n_docs, layout.n_words, config)
@@ -141,30 +141,6 @@ class CPDState:
         state._pi_dirty = set()
         state._theta_dirty = set()
         return state
-
-    def adopt_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        """Re-point mutable arrays at caller-provided (shared) buffers.
-
-        Current contents are copied into each buffer first, so adoption is
-        invisible to every reader; subsequent in-place mutations then land
-        directly in the buffers (the shared-memory publish step of the
-        parallel runner becomes a no-op). Keys must be from
-        ``SHARED_FIELDS`` with matching shape/dtype.
-        """
-        for name, buffer in buffers.items():
-            if name not in self.SHARED_FIELDS:
-                raise KeyError(f"{name} is not an adoptable state array")
-            current = getattr(self, name)
-            if buffer is current:
-                continue
-            if buffer.shape != current.shape or buffer.dtype != current.dtype:
-                raise ValueError(
-                    f"buffer for {name} has shape {buffer.shape}/{buffer.dtype}, "
-                    f"state has {current.shape}/{current.dtype}"
-                )
-            np.copyto(buffer, current)
-            setattr(self, name, buffer)
-        self._drop_caches()
 
     # -------------------------------------------------------------- mutation
 

@@ -669,15 +669,25 @@ class GatewayServer:
             raise BadRequest("missing ?q= query parameter")
         return query
 
+    @staticmethod
+    def _int_param(request: Request, name: str, default: int | None) -> int | None:
+        value = request.params.get(name)
+        if value is None:
+            return default
+        try:
+            return int(value)
+        except ValueError:
+            raise BadRequest(f"?{name}= must be an integer, got {value!r}") from None
+
     async def _rank_route(self, request: Request, deadline: Deadline) -> Response:
         try:
             query = self._require_query(request)
+            k = self._int_param(request, "k", None)
         except BadRequest as exc:
             return Response(400, {"error": str(exc)})
         ranking, coverage = await self._ranked(query, deadline, request.trace)
-        k = request.params.get("k")
         if k is not None:
-            ranking = ranking[: max(int(k), 0)]
+            ranking = ranking[: max(k, 0)]
         return Response(
             200,
             {
@@ -691,9 +701,9 @@ class GatewayServer:
     async def _top_k_route(self, request: Request, deadline: Deadline) -> Response:
         try:
             query = self._require_query(request)
+            k = self._int_param(request, "k", 5)
         except BadRequest as exc:
             return Response(400, {"error": str(exc)})
-        k = int(request.params.get("k", "5"))
         ranking, coverage = await self._ranked(query, deadline, request.trace)
         return Response(
             200,
@@ -707,7 +717,10 @@ class GatewayServer:
         )
 
     async def _members_route(self, request: Request, _deadline: Deadline) -> Response:
-        k = int(request.params.get("k", "5"))
+        try:
+            k = self._int_param(request, "k", 5)
+        except BadRequest as exc:
+            return Response(400, {"error": str(exc)})
         with_members = request.params.get("members", "0") == "1"
         members = await self._backend_call(
             request.trace,
@@ -723,7 +736,10 @@ class GatewayServer:
         return Response(200, {"k": k, "communities": communities})
 
     async def _labels_route(self, request: Request, _deadline: Deadline) -> Response:
-        n_words = int(request.params.get("n", "3"))
+        try:
+            n_words = self._int_param(request, "n", 3)
+        except BadRequest as exc:
+            return Response(400, {"error": str(exc)})
         labels = await self._backend_call(
             request.trace,
             lambda _header: self.backend.labels(n_words),

@@ -13,19 +13,18 @@ Instrumented call sites follow one idiom::
     if registry.enabled:              # no-op path: one attribute check
         registry.histogram("repro_rank_seconds").observe(elapsed)
 
-and spans nest lexically, propagating across processes via tiny headers::
+and spans nest lexically, re-parenting across threads (or an HTTP hop) via
+tiny headers::
 
-    with obs.span("router.gather", tags={"query": term}):
-        header = obs.current_header()   # -> rides a pickled delta header
+    with obs.span("parallel.sweep"):
+        header = obs.current_header()   # -> handed to each worker thread
         ...
-    # far side:
+    # worker thread:
     with obs.remote_span("parallel.worker_sweep", header):
         ...
 
-Forked workers call :func:`worker_reset` once at startup so counts inherited
-from the coordinator's pre-fork registry are not double-reported; they ship
-``get_registry().drain()`` + ``get_sink().drain()`` back in their acks and
-the coordinator folds both in with ``merge``/``ingest``.
+Registry and sink are shared by every thread of the process, so worker
+telemetry lands in the coordinator's tree with no merging step.
 """
 
 from __future__ import annotations
@@ -98,7 +97,6 @@ __all__ = [
     "telemetry_payload", "write_telemetry", "load_telemetry",
     # combined switch
     "enable_telemetry", "disable_telemetry", "telemetry_enabled",
-    "worker_reset",
 ]
 
 
@@ -115,17 +113,3 @@ def disable_telemetry() -> None:
 
 def telemetry_enabled() -> bool:
     return enabled() or tracing_enabled()
-
-
-def worker_reset() -> None:
-    """Start a forked worker's telemetry from zero.
-
-    A fork inherits the coordinator's live registry and sink *with their
-    accumulated contents*; draining those back in an ack would double-count
-    everything recorded before the fork. If telemetry is enabled, replace
-    both with fresh instances; if disabled, stay disabled.
-    """
-    if enabled():
-        set_registry(MetricsRegistry())
-    if tracing_enabled():
-        set_sink(SpanSink())

@@ -1,17 +1,18 @@
-"""Trace spans with cross-process context propagation.
+"""Trace spans with cross-thread and cross-process context propagation.
 
 A *span* is one timed operation (a sweep, a shard call, a WAL append burst);
 a *trace* is the tree of spans that served one logical request. The context
 (trace id + current span id) lives on a thread-local stack, so nested
 ``with span(...)`` blocks parent automatically — and the same context can be
-serialized into a tiny header dict, shipped across a process boundary (the
-``ParallelEStepRunner`` delta header), and re-activated on the far side with
-:func:`remote_span`, so worker spans chain into the coordinator's tree.
+serialized into a tiny header dict, handed to another thread (the
+``ParallelEStepRunner`` workers, the gateway's executor) or sent over HTTP
+(``X-Repro-Trace``), and re-activated on the far side with
+:func:`remote_span`, so the far side's spans chain into the caller's tree.
 
 Finished spans land in a ring-buffer :class:`SpanSink` (bounded, newest
-wins); workers drain their sink into the sweep ack and the coordinator
-ingests those records, so one parallel sweep yields a single reconstructable
-tree (:meth:`SpanSink.trees`) even though the work spanned processes.
+wins) shared by every thread; :meth:`SpanSink.ingest` folds in records
+collected elsewhere, so one request yields a single reconstructable tree
+(:meth:`SpanSink.trees`) even when the work crossed threads or processes.
 
 Like metrics, tracing is off by default: the module-level sink starts as a
 :class:`NullSpanSink` and ``span()`` returns a shared no-op context manager,
@@ -403,8 +404,8 @@ def record_span(
 def current_header() -> dict | None:
     """The propagatable context of the innermost open span, or ``None``.
 
-    This is what rides the ``ParallelEStepRunner`` delta header: two short
-    hex strings, so the disabled / no-open-span case adds nothing.
+    This is what a ``ParallelEStepRunner`` worker thread re-parents to: two
+    short hex strings, so the disabled / no-open-span case adds nothing.
     """
     stack = getattr(_STACK, "spans", None)
     if not stack:

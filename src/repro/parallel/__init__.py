@@ -1,10 +1,8 @@
 """Parallel inference runtime (paper Sect. 4.3): segmentation, knapsack
-workload balancing, and the zero-copy process-parallel E-step over a
-shared-memory state plane."""
+workload balancing, and the thread-parallel E-step."""
 
 from .knapsack import Allocation, allocate_segments, solve_knapsack
-from .plane import PlaneSpec, SharedStatePlane
-from .runner import ParallelEStepRunner, ParallelStats, SerialSweeper
+from .runner import ParallelEStepRunner, ParallelStats
 from .scheduler import (
     Schedule,
     WorkloadModel,
@@ -19,10 +17,7 @@ __all__ = [
     "DataSegment",
     "ParallelEStepRunner",
     "ParallelStats",
-    "PlaneSpec",
     "Schedule",
-    "SerialSweeper",
-    "SharedStatePlane",
     "WorkloadModel",
     "allocate_segments",
     "build_schedule",

@@ -7,7 +7,7 @@ resilience layers one shared vocabulary of failure:
 
 * a :class:`FaultPlan` holds an ordered list of :class:`FaultSpec` arms,
   each naming an **injection point** (a dotted string such as
-  ``"artifact.read"`` or ``"worker.kill"``), an optional context match
+  ``"artifact.read"`` or ``"shard.query"``), an optional context match
   (``shard=2``), and a trigger — either a deterministic consultation index
   (``at=3`` fires on the third consult) or a seeded probability;
 * production code *consults* the plan at its named points via the
@@ -33,8 +33,6 @@ Injection points consulted across the codebase:
                           ``action="raise"`` fails the shard,
                           ``action="timeout"`` charges a simulated stall
                           against its deadline
-``worker.kill``           :class:`repro.parallel.ParallelEStepRunner` — the
-                          worker process is terminated before its sweep ack
 ``gateway.accept``        :class:`repro.gateway.GatewayServer` — the
                           connection is dropped at accept, before a byte is
                           read (clients see a reset)

@@ -33,12 +33,12 @@ retry budget with exponential backoff, and a
 :class:`~repro.shard.health.CircuitBreaker` so a persistently failing
 shard stops being called for a cooldown. :meth:`gather` is the best-effort
 entry point: it merges whatever shards answered — live, or from the
-per-shard *stale cache* of last-known rankings for tripped shards — and
-reports coverage in a :class:`GatherResult` envelope instead of raising.
-:meth:`rank` keeps its exact contract (raising :class:`DegradedError`
-when any shard is unreachable) unless the router was built with
-``best_effort=True``; only exact merges enter the router LRU, so a
-degraded answer never outlives the failure that caused it.
+per-shard, LRU-bounded *stale cache* of last-known rankings for tripped
+shards — and reports coverage in a :class:`GatherResult` envelope instead
+of raising. :meth:`rank` keeps its exact contract (raising
+:class:`DegradedError` when any shard is unreachable) unless the router
+was built with ``best_effort=True``; only exact merges enter the router
+LRU, so a degraded answer never outlives the failure that caused it.
 """
 
 from __future__ import annotations
@@ -179,14 +179,18 @@ class ShardRouter:
             )
             for shard_id in range(len(stores))
         ]
-        #: last-known live ``(ranking, shift, stored_at)`` per
-        #: ``(shard, query key)`` — what a tripped shard serves until it is
-        #: healed, hot-swapped, or the entry outlives ``stale_max_age``
-        self._stale: dict[
-            tuple[int, tuple[int, ...]], tuple[list, float, float]
-        ] = {}
+        #: last-known live ``(ranking, shift, stored_at)`` per query key,
+        #: one LRU table per shard — what a tripped shard serves until it is
+        #: healed, hot-swapped, or the entry outlives ``stale_max_age``.
+        #: Each table holds twice the merged-rank cache's entries: the
+        #: fallback must outlive the merged answer (a query still in the
+        #: rank cache never reaches the shards), and it must stay bounded
+        #: under distinct-query traffic.
+        self._stale: list[LRUCache[tuple[list, float, float]]] = [
+            LRUCache(2 * query_cache_size) for _ in stores
+        ]
         self.stale_served = [0 for _ in stores]
-        # guards the stale table, the gathered memos and the hot-swap path
+        # guards the gathered memos and the hot-swap path
         # against the gateway's executor threads; the generation counter
         # lets gather() cache a merge without holding the lock across the
         # scatter — a swap racing the scatter bumps the generation and the
@@ -368,12 +372,9 @@ class ShardRouter:
                                 shard_id, query, deadline=call_deadline
                             )
                             breaker.record_success()
-                            with self._lock:
-                                self._stale[(shard_id, key)] = (
-                                    ranking,
-                                    shift,
-                                    self.clock(),
-                                )
+                            self._stale[shard_id].put(
+                                key, (ranking, shift, self.clock())
+                            )
                             entries.append((shard_id, ranking, shift))
                             envelope.answered.append(shard_id)
                             error = None
@@ -431,19 +432,17 @@ class ShardRouter:
     ) -> Optional[tuple[list, float]]:
         """The shard's stale ``(ranking, shift)`` if young enough, else None.
 
-        Entries older than ``stale_max_age`` are dropped on sight — a
-        ranking from a model that failed half an hour ago misleads more
-        than an honest gap in coverage.
+        Entries older than ``stale_max_age`` are never served — a ranking
+        from a model that failed half an hour ago misleads more than an
+        honest gap in coverage — and age out of the bounded table.
         """
-        with self._lock:
-            stale = self._stale.get((shard_id, key))
-            if stale is None:
-                return None
-            ranking, shift, stored_at = stale
-            if self.clock() - stored_at > self.stale_max_age:
-                del self._stale[(shard_id, key)]
-                return None
-            return ranking, shift
+        stale = self._stale[shard_id].peek(key)
+        if stale is None:
+            return None
+        ranking, shift, stored_at = stale
+        if self.clock() - stored_at > self.stale_max_age:
+            return None
+        return ranking, shift
 
     def _merged_rank(self, entries: list[tuple[int, list, float]]):
         """Lazily yield ``(global_community, score)`` in non-increasing score
@@ -775,8 +774,7 @@ class ShardRouter:
                 result, summary=summary, vocabulary=vocabulary
             )
             self.breakers[shard_id].reset()
-            for stale_key in [k for k in self._stale if k[0] == shard_id]:
-                del self._stale[stale_key]
+            self._stale[shard_id].clear()
             self.invalidate()
 
 

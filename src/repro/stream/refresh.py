@@ -67,7 +67,7 @@ class IncrementalRefresher:
         self.n_sweeps = n_sweeps
         self.update_eta = update_eta
         #: optional replacement for the dirty-set sweep — a callable taking
-        #: ``(sampler, doc_ids)``; the shared-memory parallel runner
+        #: ``(sampler, doc_ids)``; the thread-parallel runner
         #: (:class:`repro.parallel.ParallelEStepRunner`) plugs in here. A
         #: sweeper with ``fused_augmentation`` also owns the per-link PG
         #: draws and the eta aggregation.

@@ -137,6 +137,23 @@ class TestRoutes:
         assert status == 400
         assert "?q=" in body["error"]
 
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            ("/rank?q={term}&k=abc", "?k="),
+            ("/top-k?q={term}&k=abc", "?k="),
+            ("/community-members?k=abc", "?k="),
+            ("/labels?n=abc", "?n="),
+        ],
+    )
+    def test_malformed_integer_parameter_is_400(self, store, term, path, name):
+        gateway = GatewayServer(store, port=0)
+        with GatewayThread(gateway) as handle:
+            status, _headers, body = handle.get(path.format(term=term))
+        assert status == 400
+        assert name in body["error"]
+        assert gateway.stats()["errors"] == 0
+
     def test_health_ready_metrics(self, store):
         gateway = GatewayServer(store, port=0)
         with GatewayThread(gateway) as handle:

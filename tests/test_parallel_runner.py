@@ -1,13 +1,16 @@
-"""Tests for the zero-copy process-parallel E-step runner."""
+"""Tests for the thread-parallel E-step runner."""
+
+import sys
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import CPDConfig, CPDModel, DiffusionParameters, FitOptions
 from repro.core.gibbs import CPDSampler
 from repro.datasets import twitter_scenario
 from repro.evaluation import normalized_mutual_information
-from repro.parallel import ParallelEStepRunner, SerialSweeper
+from repro.parallel import ParallelEStepRunner
 
 
 @pytest.fixture(scope="module")
@@ -15,15 +18,6 @@ def runner_setup(twitter_tiny):
     graph, _ = twitter_tiny
     config = CPDConfig(n_communities=4, n_topics=8, n_iterations=4, rho=0.5, alpha=0.5)
     return graph, config
-
-
-class TestSerialSweeper:
-    def test_records_stats(self, runner_setup):
-        graph, config = runner_setup
-        sweeper = SerialSweeper()
-        CPDModel(config, rng=0).fit(graph, FitOptions(document_sweeper=sweeper))
-        assert sweeper.stats.iterations == config.n_iterations
-        assert sweeper.stats.worker_seconds[0] > 0
 
 
 class TestParallelRunner:
@@ -73,37 +67,6 @@ class TestParallelRunner:
         with pytest.raises(ValueError):
             ParallelEStepRunner(graph, config, n_workers=0)
 
-    def test_sweep_kernel_override(self, runner_setup):
-        graph, config = runner_setup
-        with ParallelEStepRunner(
-            graph, config, n_workers=1, rng=0, sweep_kernel="reference"
-        ) as runner:
-            assert runner.config.sweep_kernel == "reference"
-            result = CPDModel(runner.config, rng=0).fit(
-                graph, FitOptions(document_sweeper=runner)
-            )
-        np.testing.assert_allclose(result.pi.sum(axis=1), 1.0, rtol=1e-9)
-
-    def test_delta_headers_stay_tiny(self, runner_setup):
-        """Per-sweep coordinator->worker IPC is headers, not state."""
-        graph, config = runner_setup
-        with ParallelEStepRunner(graph, config, n_workers=2, rng=0) as runner:
-            CPDModel(config, rng=0).fit(graph, FitOptions(document_sweeper=runner))
-            per_sweep = runner.stats.payload_bytes_per_sweep()
-        assert 0 < per_sweep < 1024  # two ~65-byte pickled headers
-
-    def test_unfused_runner_leaves_augmentation_to_model(self, runner_setup):
-        graph, config = runner_setup
-        with ParallelEStepRunner(
-            graph, config, n_workers=2, rng=0, fuse_augmentation=False
-        ) as runner:
-            assert not runner.fused_augmentation
-            result = CPDModel(config, rng=0).fit(
-                graph, FitOptions(document_sweeper=runner)
-            )
-        np.testing.assert_allclose(result.pi.sum(axis=1), 1.0, rtol=1e-9)
-        assert runner.aggregated_eta() is None
-
     def test_fused_runner_updates_augmentation(self, runner_setup):
         graph, config = runner_setup
         sampler = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=1)
@@ -147,22 +110,6 @@ class TestParallelRunner:
             sampler.state.check_consistency()
         assert topics_moved  # overflow docs were actually resampled
 
-    def test_readoption_hands_first_sampler_back(self, runner_setup):
-        """Adopting a second sampler must privatise the first one's arrays."""
-        graph, config = runner_setup
-        first = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=1)
-        second = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=2)
-        with ParallelEStepRunner(graph, config, n_workers=2, rng=0) as runner:
-            runner(first)
-            snapshot = first.state.doc_community.copy()
-            runner(second)
-            # first's arrays no longer alias the plane: second's sweep must
-            # not have bled into them
-            np.testing.assert_array_equal(first.state.doc_community, snapshot)
-            first.state.check_consistency()
-        first.state.check_consistency()  # and both survive the unmap
-        second.state.check_consistency()
-
     def test_per_call_fuse_override(self, runner_setup):
         graph, config = runner_setup
         sampler = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=1)
@@ -191,12 +138,100 @@ class TestParallelRunner:
         sampler.state.check_consistency()
 
 
+class TestThreadedSweeps:
+    def test_seeded_runs_are_bit_identical(self, runner_setup):
+        """Worker-owned buffers and an in-order merge: thread timing cannot
+        change a seeded run."""
+        graph, config = runner_setup
+        with ParallelEStepRunner(graph, config, n_workers=2, rng=0) as runner:
+            outcomes = []
+            for _ in range(2):
+                runner.rng = np.random.default_rng(7)
+                sampler = CPDSampler(
+                    graph, config, DiffusionParameters.initial(4, 8), rng=1
+                )
+                for _ in range(5):
+                    runner(sampler)
+                outcomes.append(
+                    (
+                        sampler.state.doc_community.copy(),
+                        sampler.state.doc_topic.copy(),
+                        sampler.lambdas.copy(),
+                        runner.aggregated_eta().copy(),
+                    )
+                )
+        for first, second in zip(*outcomes):
+            np.testing.assert_array_equal(first, second)
+
+    def test_thread_interleaving_cannot_change_a_seeded_run(self, runner_setup):
+        """More workers than cores, switching threads every microsecond:
+        the result still matches a run with the default switch interval."""
+        graph, config = runner_setup
+        registry, _sink = obs.enable_telemetry()
+        try:
+            with ParallelEStepRunner(graph, config, n_workers=4, rng=0) as runner:
+                outcomes = []
+                for interval in (sys.getswitchinterval(), 1e-6):
+                    runner.rng = np.random.default_rng(11)
+                    sampler = CPDSampler(
+                        graph, config, DiffusionParameters.initial(4, 8), rng=1
+                    )
+                    previous = sys.getswitchinterval()
+                    sys.setswitchinterval(interval)
+                    try:
+                        for _ in range(3):
+                            runner(sampler)
+                    finally:
+                        sys.setswitchinterval(previous)
+                    sampler.state.check_consistency()
+                    outcomes.append(
+                        (sampler.state.doc_community.copy(), sampler.deltas.copy())
+                    )
+            observed = sum(
+                entry["count"]
+                for entry in registry.snapshot()["histograms"]
+                if entry["name"] == "repro_parallel_worker_seconds"
+            )
+        finally:
+            obs.disable_telemetry()
+        for first, second in zip(*outcomes):
+            np.testing.assert_array_equal(first, second)
+        assert observed == 2 * 3 * 4  # no lost update in the shared registry
+
+    def test_worker_error_propagates_and_applies_nothing(
+        self, runner_setup, monkeypatch
+    ):
+        graph, config = runner_setup
+        sampler = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=1)
+        with ParallelEStepRunner(graph, config, n_workers=2, rng=0) as runner:
+            runner(sampler)
+            before = sampler.export_snapshot()
+            counts = sampler.state.user_community.copy()
+
+            def broken_sweep(doc_ids=None):
+                raise RuntimeError("worker sweep failed")
+
+            monkeypatch.setattr(runner._workers[1], "sweep_documents", broken_sweep)
+            with pytest.raises(RuntimeError, match="worker sweep failed"):
+                runner(sampler)
+            after = sampler.export_snapshot()
+            for name, array in before.items():
+                np.testing.assert_array_equal(after[name], array)
+            np.testing.assert_array_equal(sampler.state.user_community, counts)
+            sampler.state.check_consistency()
+
+            monkeypatch.undo()
+            runner(sampler)  # the pool survives a failed sweep
+            sampler.state.check_consistency()
+        assert runner.stats.iterations == 2
+
+
 class TestSerialParallelParity:
     """ISSUE 4 acceptance: parallel and serial fits stay interchangeable.
 
     Both branches continue the *same* converged chain (warm-started from one
     offline fit on a crisply-planted scenario), one through plain sweeps and
-    one through the shared-memory runner; their document assignments must
+    one through the thread-parallel runner; their document assignments must
     agree to NMI >= 0.8 at 2 and 4 workers (observed ~0.9, see DESIGN.md §7
     for why stale reads keep the chains statistically interchangeable).
     """

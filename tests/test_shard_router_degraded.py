@@ -225,6 +225,32 @@ class TestStaleFallback:
         # no stale ranking survives the swap: the shard is simply absent
         assert envelope.failed == [1] and envelope.stale == []
 
+    def test_stale_tables_stay_bounded_under_distinct_queries(self, four_shard):
+        size = 2
+        router = _router(
+            four_shard,
+            best_effort=True,
+            retries=0,
+            breaker_threshold=1,
+            query_cache_size=size,
+        )
+        bound = router._stale[0].max_size
+        assert bound >= size
+        terms = router.indexed_terms()[: bound + 5]
+        assert len(terms) == bound + 5
+        for term in terms:
+            assert router.gather(term).exact
+        for table in router._stale:
+            assert len(table) <= bound
+        router.invalidate()  # force the next gather back to the shards
+        with inject(_always_fail(1)):
+            envelope = router.gather(terms[-1])
+            evicted = router.gather(terms[0])
+        assert envelope.stale == [1]
+        assert envelope.coverage == 1.0
+        # the oldest query was evicted from shard 1's table
+        assert evicted.stale == [] and evicted.failed == [1]
+
 
 class TestObservabilityWhileTripped:
     def test_cache_info_works_and_reports_health_while_tripped(
